@@ -937,11 +937,9 @@ pub fn run_reads_streaming(
         .collect();
 
     // The router: frontier = the primary's assigned log end, so strong reads
-    // verify against what the primary has committed, not just shipped; the
-    // tail-flush hook lets a blocked read ship a committed-but-buffered
-    // token instead of waiting for its segment to fill.
+    // verify against what the primary has committed, not just shipped (the
+    // logger's seal deadline ships a committed-but-buffered token).
     let frontier_engine = Arc::clone(&engine);
-    let flush_engine = Arc::clone(&engine);
     let router = Arc::new(
         ReadRouter::new(
             backups.clone(),
@@ -949,8 +947,7 @@ pub fn run_reads_streaming(
                 .with_max_wait(Duration::from_secs(5))
                 .with_obs(Arc::clone(&setup.obs)),
         )
-        .with_frontier(move || frontier_engine.log_last_seq())
-        .with_tail_flush(move || flush_engine.flush_log()),
+        .with_frontier(move || frontier_engine.log_last_seq()),
     );
 
     let start = Instant::now();
@@ -999,7 +996,7 @@ pub fn run_reads_streaming(
         );
         // Stop the sessions. A session mid-iteration can still commit a
         // token into a partial segment after the background load ends; its
-        // own blocked read ships it via the router's tail-flush hook.
+        // own blocked read is served once the logger's seal deadline ships it.
         stop_readers.store(true, Ordering::Relaxed);
         for handle in reader_handles {
             handle.join().expect("reader session");
@@ -1225,7 +1222,6 @@ pub fn run_elastic_streaming(
 
     // The router starts with an empty fleet; the controller admits members.
     let frontier_engine = Arc::clone(&engine);
-    let flush_engine = Arc::clone(&engine);
     let router = Arc::new(
         ReadRouter::new(
             Vec::new(),
@@ -1233,8 +1229,7 @@ pub fn run_elastic_streaming(
                 .with_max_wait(Duration::from_secs(5))
                 .with_obs(Arc::clone(&setup.obs)),
         )
-        .with_frontier(move || frontier_engine.log_last_seq())
-        .with_tail_flush(move || flush_engine.flush_log()),
+        .with_frontier(move || frontier_engine.log_last_seq()),
     );
 
     let replica_config = ReplicaConfig::default()
@@ -1335,7 +1330,7 @@ pub fn run_elastic_streaming(
         primary_stats = load.join().expect("background load");
         // Stop the sessions. A session mid-iteration can still commit a
         // token into a partial segment after the background load ends; its
-        // own blocked read ships it via the router's tail-flush hook.
+        // own blocked read is served once the logger's seal deadline ships it.
         stop_readers.store(true, Ordering::Relaxed);
         for handle in reader_handles {
             handle.join().expect("reader session");

@@ -131,9 +131,13 @@ pub struct ReplicaConfig {
     pub op_cost: OpCost,
     /// How the storage engine exposes snapshots (see [`SnapshotMode`]).
     pub snapshot_mode: SnapshotMode,
-    /// Approximate interval between snapshot cuts, the `I` knob of
-    /// Section 5.2. Also used by the faithful snapshotter as the period of
-    /// its advancing thread.
+    /// Period of the replica's expose stage. For C5-MyRocks mode
+    /// (`OneWorkerPerTxn`) and the baseline protocols it is the interval
+    /// between snapshot cuts, the `I` knob of Section 5.2 (and for sharded
+    /// replicas the period of the cross-shard cut coordinator).
+    /// Faithful C5 does not wait for it to expose: the worker that advances
+    /// the boundary watermark publishes the cut itself, so for faithful
+    /// replicas this is only the cadence of version garbage collection.
     pub snapshot_interval: Duration,
     /// Capacity (in log segments) of the channel between the log shipper and
     /// the scheduler. Bounded so that an overwhelmed replica exerts

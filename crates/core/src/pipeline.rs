@@ -7,7 +7,9 @@
 //! (**schedule**), worker threads execute the items under the protocol's
 //! ordering constraints (**apply**), and a periodic thread advances the
 //! transaction-aligned cut that read-only transactions may observe
-//! (**expose**). This module owns that machine once — the threads, the
+//! (**expose**) — unless the policy publishes cuts from its workers, as
+//! faithful C5 does, in which case the periodic thread only collects
+//! garbage. This module owns that machine once — the threads, the
 //! channels, the shutdown/drain protocol, the garbage-collection horizon —
 //! so each protocol only supplies a [`PipelinePolicy`]: what a work item is,
 //! how segments become items, and what "apply one item" means.

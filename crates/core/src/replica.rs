@@ -23,10 +23,14 @@
 //!   apply each transaction's writes in order, sleeping on the wait list
 //!   until each write's predecessor lands (Section 5.1's
 //!   backward-compatibility constraint);
-//! * the **expose** stage advances the exposed cut ([`crate::snapshotter`])
-//!   every `snapshot_interval`, records one replication-lag sample per
-//!   transaction as it becomes visible, and drives the version-GC horizon
-//!   trailing the cut.
+//! * the exposed cut ([`crate::snapshotter`]) advances as follows, and one
+//!   replication-lag sample per transaction is recorded as it becomes
+//!   visible. In [`C5Mode::Faithful`] the worker whose watermark flush moves
+//!   the boundary watermark publishes the new cut itself, right after the
+//!   flush — a single atomic `fetch_max`. In [`C5Mode::OneWorkerPerTxn`] the
+//!   **expose** stage takes a whole-database cut every `snapshot_interval`.
+//!   In both modes the expose stage drives the version-GC horizon trailing
+//!   the cut.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -300,6 +304,18 @@ impl C5Policy {
         self.tracker.mark_applied_batch(&marks.borrow());
         marks.borrow_mut().clear();
     }
+
+    /// Faithful mode: publishes the boundary watermark as the exposed cut.
+    /// Every write at or below it is installed, so publishing is one
+    /// monotonic `fetch_max` that never blocks a worker. A worker that read
+    /// a stale watermark is harmless: the cursor ignores cuts below its own.
+    fn expose_boundary(&self) {
+        let n = self.tracker.boundary_watermark();
+        if n > self.cursor.exposed() {
+            self.cursor.advance(n);
+            self.ledger.drain_exposed(n);
+        }
+    }
 }
 
 impl PipelinePolicy for C5Policy {
@@ -409,17 +425,16 @@ impl PipelinePolicy for C5Policy {
             }
         }
         self.flush_marks(&marks);
+        if self.mode == C5Mode::Faithful {
+            self.expose_boundary();
+        }
     }
 
     fn expose(&self, signals: &PipelineSignals) {
         match self.mode {
-            C5Mode::Faithful => {
-                let n = self.tracker.boundary_watermark();
-                if n > self.cursor.exposed() {
-                    self.cursor.advance(n);
-                    self.ledger.drain_exposed(n);
-                }
-            }
+            // Faithful cuts are published by the workers (see `apply`); the
+            // expose stage only drives GC for them.
+            C5Mode::Faithful => {}
             C5Mode::OneWorkerPerTxn => {
                 let target = self.tracker.boundary_watermark();
                 if target > self.cursor.exposed() {
@@ -904,6 +919,134 @@ mod tests {
         );
         // The exposed state is untouched.
         assert_eq!(replica.read_view().get(row(0)).unwrap().as_u64(), Some(500));
+    }
+
+    /// A replica with an hour-long snapshot interval, fed live by a
+    /// `StreamingLogger` whose 256-record segments only ship at the seal
+    /// deadline. The feeder thread keeps a copy of every shipped segment
+    /// for the MPC checker.
+    struct Streamed {
+        replica: Arc<C5Replica>,
+        logger: c5_log::StreamingLogger,
+        shipped: Arc<Mutex<Vec<Segment>>>,
+        feeder: std::thread::JoinHandle<()>,
+    }
+
+    fn streamed_hour_interval_replica(mode: C5Mode) -> Streamed {
+        let store = Arc::new(MvStore::default());
+        store.install(
+            row(0),
+            Timestamp::ZERO,
+            c5_common::WriteKind::Insert,
+            Some(Value::from_u64(0)),
+        );
+        let config = ReplicaConfig::default()
+            .with_workers(2)
+            .with_snapshot_interval(Duration::from_secs(3600));
+        let replica = C5Replica::new(mode, store, config);
+        let (shipper, receiver) = c5_log::LogShipper::unbounded();
+        let logger = c5_log::StreamingLogger::new(256, shipper);
+        let shipped = Arc::new(Mutex::new(Vec::new()));
+        let feeder = {
+            let replica = Arc::clone(&replica);
+            let shipped = Arc::clone(&shipped);
+            std::thread::spawn(move || {
+                while let Some(segment) = receiver.recv() {
+                    shipped.lock().push(segment.clone());
+                    replica.apply_segment(segment);
+                }
+            })
+        };
+        Streamed {
+            replica,
+            logger,
+            shipped,
+            feeder,
+        }
+    }
+
+    /// Commits transaction `t`: the hot-row update plus one unique insert.
+    fn commit(logger: &c5_log::StreamingLogger, t: u64) -> SeqNo {
+        logger
+            .append_tokened(
+                TxnId(t),
+                vec![
+                    RowWrite::update(row(0), Value::from_u64(t)),
+                    RowWrite::insert(row(1_000 + t), Value::from_u64(t)),
+                ],
+            )
+            .1
+    }
+
+    #[test]
+    fn faithful_cuts_do_not_wait_for_the_snapshot_interval() {
+        // Faithful cuts are published by the applying worker, so an hour-long
+        // snapshot interval (now only the GC cadence) must not hold back
+        // exposure: every committed transaction becomes visible promptly,
+        // and every exposed state is the serial replay's at its cut.
+        let population = vec![(row(0), Value::from_u64(0))];
+        let Streamed {
+            replica,
+            logger,
+            shipped,
+            feeder,
+        } = streamed_hour_interval_replica(C5Mode::Faithful);
+        for t in 1..=20 {
+            let token = commit(&logger, t);
+            assert!(
+                replica.wait_until_exposed(token, Duration::from_secs(10)),
+                "txn {t} (token {token}) was not exposed promptly (exposed {})",
+                replica.exposed_seq()
+            );
+            let view = replica.read_view();
+            assert!(view.as_of() >= token);
+            MpcChecker::new(&population, &shipped.lock())
+                .verify_view(view.as_ref())
+                .unwrap_or_else(|e| panic!("txn {t}: {e:?}"));
+        }
+        logger.close();
+        feeder.join().unwrap();
+        replica.finish();
+        assert_eq!(replica.lag().len(), 20, "one lag sample per transaction");
+    }
+
+    #[test]
+    fn one_worker_per_txn_cuts_still_follow_the_snapshot_interval() {
+        // C5-MyRocks keeps its periodic whole-database cut: with an hour-long
+        // interval, applied transactions stay invisible until `finish`
+        // drains, which must still converge to the full, MPC-clean log.
+        let population = vec![(row(0), Value::from_u64(0))];
+        let Streamed {
+            replica,
+            logger,
+            shipped,
+            feeder,
+        } = streamed_hour_interval_replica(C5Mode::OneWorkerPerTxn);
+        let mut token = SeqNo::ZERO;
+        for t in 1..=5 {
+            token = commit(&logger, t);
+        }
+        assert!(
+            c5_common::pacing::poll_until(Duration::from_secs(10), || {
+                replica.applied_seq() >= token
+            }),
+            "the log must be applied (applied {})",
+            replica.applied_seq()
+        );
+        assert_eq!(
+            replica.exposed_seq(),
+            SeqNo::ZERO,
+            "no cut before the interval elapses"
+        );
+        logger.close();
+        feeder.join().unwrap();
+        replica.finish();
+        assert_eq!(replica.exposed_seq(), token);
+        let view = replica.read_view();
+        MpcChecker::new(&population, &shipped.lock())
+            .verify_view(view.as_ref())
+            .unwrap();
+        assert_eq!(view.get(row(0)).unwrap().as_u64(), Some(5));
     }
 
     #[test]

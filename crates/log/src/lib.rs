@@ -18,7 +18,8 @@
 //!
 //! * [`logger::StreamingLogger`] — a live, totally ordered log used by the
 //!   two-phase-locking primary (the MyRocks role). Commit order is the append
-//!   order; completed segments are pushed to a [`ship::LogShipper`].
+//!   order; a segment is pushed to a [`ship::LogShipper`] once it is full or
+//!   its oldest record has waited [`logger::SEAL_DEADLINE`].
 //! * [`logger::ThreadLog`] + [`logger::coalesce`] — per-thread logs used by
 //!   the MVTSO primary (the Cicada role), coalesced into a single log sorted
 //!   by commit timestamp before replication starts, exactly as the paper's
@@ -55,7 +56,9 @@ pub mod ship;
 pub mod wal;
 
 pub use archive::{DurableRecovery, LogArchive};
-pub use logger::{coalesce, flatten, segments_from_entries, StreamingLogger, ThreadLog};
+pub use logger::{
+    coalesce, flatten, segments_from_entries, StreamingLogger, ThreadLog, SEAL_DEADLINE,
+};
 pub use record::{explode_txn, now_nanos, LogRecord, TxnEntry};
 pub use segment::{Segment, SegmentHeader};
 pub use ship::{

@@ -64,6 +64,7 @@ use c5_common::{pacing::Pacer, Error, Result, SeqNo, ShardRouter, TxnId};
 use c5_obs::{Counter, Histogram, Obs, TraceEvent};
 
 use crate::archive::LogArchive;
+use crate::logger::SealReason;
 use crate::segment::Segment;
 
 /// Stable identity of one subscription in a shipper's registry, handed out
@@ -143,6 +144,8 @@ struct ShipObs {
     ship_ns: Arc<Histogram>,
     segments: Arc<Counter>,
     records: Arc<Counter>,
+    /// `log_segments_sealed_total{reason=…}`, indexed by [`SealReason`].
+    sealed: [Arc<Counter>; 3],
 }
 
 /// Routing state of a sharded shipper.
@@ -387,17 +390,34 @@ impl LogShipper {
     /// Attaches an observability sink: every shipped segment records one
     /// [`TraceEvent::Ship`] (sequence position, record count, fan-out width,
     /// wall time of the whole route/archive/send) plus a `ship_ns` histogram
-    /// and `ship_segments_total` / `ship_records_total` counters. Metric
-    /// handles are resolved here, once, so the per-segment path stays off the
-    /// registry lock. Shared across clones like the wire itself.
+    /// and `ship_segments_total` / `ship_records_total` counters, and a
+    /// [`StreamingLogger`](crate::StreamingLogger) feeding this shipper counts
+    /// why it sealed each segment in `log_segments_sealed_total{reason=…}`.
+    /// Metric handles are resolved here, once, so the per-segment path stays
+    /// off the registry lock. Shared across clones like the wire itself.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Self {
+        let sealed = [SealReason::Size, SealReason::Deadline, SealReason::Flush].map(|reason| {
+            obs.metrics.counter(&format!(
+                "log_segments_sealed_total{{reason=\"{}\"}}",
+                reason.label()
+            ))
+        });
         self.obs = Some(Arc::new(ShipObs {
             ship_ns: obs.metrics.histogram("ship_ns"),
             segments: obs.metrics.counter("ship_segments_total"),
             records: obs.metrics.counter("ship_records_total"),
+            sealed,
             obs,
         }));
         self
+    }
+
+    /// Counts one segment sealed by a logger for `reason` (a no-op without
+    /// an attached observability sink).
+    pub(crate) fn note_sealed(&self, reason: SealReason) {
+        if let Some(ship_obs) = &self.obs {
+            ship_obs.sealed[reason as usize].inc();
+        }
     }
 
     /// Transaction counts observed so far by a sharded shipper (`None` for

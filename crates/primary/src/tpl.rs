@@ -80,9 +80,8 @@ impl TplEngine {
         self.logger.close();
     }
 
-    /// Ships the log's buffered tail without closing it. Read routers use
-    /// this so strong and causal reads never wait on records that are
-    /// committed but still sitting in a partially filled segment.
+    /// Ships the log's buffered tail now, without closing the log (the
+    /// logger would otherwise ship it at its seal deadline).
     pub fn flush_log(&self) {
         self.logger.flush();
     }
@@ -390,14 +389,15 @@ mod tests {
     #[test]
     fn flush_log_ships_the_buffered_tail_without_closing() {
         let (shipper, receiver) = LogShipper::unbounded();
-        // Huge segment target: nothing ships until flushed.
+        // Huge segment target: the tail never ships by size. (Whether the
+        // seal deadline beats the flush depends on scheduling; the logger's
+        // own tests pin that down with a deadline no test outlives.)
         let logger = StreamingLogger::new(1_000, shipper);
         let store = Arc::new(MvStore::default());
         let engine = TplEngine::new(store, PrimaryConfig::default(), logger);
         engine
             .execute(&|ctx: &mut dyn TxnCtx| ctx.insert(row(1), Value::from_u64(1)))
             .unwrap();
-        assert_eq!(receiver.try_len(), 0);
         engine.flush_log();
         assert_eq!(flatten(&receiver.drain_available()).len(), 1);
         // The log is still open: later commits keep flowing.

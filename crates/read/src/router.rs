@@ -120,11 +120,6 @@ pub struct ReplicaStatus {
 pub struct ReadRouter {
     fleet: Mutex<Fleet>,
     frontier: Option<Box<dyn PrimaryFrontier>>,
-    /// Ships the primary log's buffered tail (e.g. `TplEngine::flush_log`).
-    /// Called once when a read must block: everything at or below the
-    /// read's requirement was assigned before the call, so one flush puts
-    /// it on the wire.
-    tail_flush: Option<Box<dyn Fn() + Send + Sync>>,
     config: ReadConfig,
     metrics: RouterMetrics,
     /// Trace sink for per-route decisions (from [`ReadConfig::obs`]).
@@ -207,7 +202,6 @@ impl ReadRouter {
                 next_id,
             }),
             frontier: None,
-            tail_flush: None,
             config,
             metrics: RouterMetrics::new(sample_every, &obs),
             obs,
@@ -294,20 +288,6 @@ impl ReadRouter {
     /// estimate (a replica at the frontier is fresh even between commits).
     pub fn with_frontier(mut self, frontier: impl PrimaryFrontier + 'static) -> Self {
         self.frontier = Some(Box::new(frontier));
-        self
-    }
-
-    /// Attaches a primary log-tail flush hook (e.g.
-    /// `TplEngine::flush_log`), called once whenever a read must block: a
-    /// causal token or strong frontier can name a committed transaction
-    /// whose records still sit in the logger's partially filled segment,
-    /// and on a write-light primary that segment would otherwise never
-    /// ship — wedging the read until its wait bound expires. One flush
-    /// puts everything at or below the read's requirement on the wire
-    /// (sequence numbers are assigned at append, so the requirement's
-    /// records are already buffered or shipped).
-    pub fn with_tail_flush(mut self, flush: impl Fn() + Send + Sync + 'static) -> Self {
-        self.tail_flush = Some(Box::new(flush));
         self
     }
 
@@ -497,12 +477,6 @@ impl ReadRouter {
         let mut blocked = Duration::ZERO;
         if chosen.is_none() {
             let wait_start = Instant::now();
-            // About to block: ship the primary's buffered tail so a
-            // requirement naming committed-but-unshipped records can
-            // actually be met (see [`with_tail_flush`](Self::with_tail_flush)).
-            if let Some(flush) = &self.tail_flush {
-                flush();
-            }
             poll_until(self.config.max_wait, || {
                 chosen = self.eligible(required, bound_nanos);
                 chosen.is_some()
@@ -725,11 +699,12 @@ mod tests {
     }
 
     #[test]
-    fn blocked_reads_flush_the_primary_tail_instead_of_wedging() {
+    fn blocked_reads_are_served_by_the_seal_deadline_instead_of_wedging() {
         use c5_log::{LogShipper, StreamingLogger};
         // A write-light primary: one committed transaction sits buffered in
-        // a segment that is nowhere near full, so it never ships on its
-        // own. The causal read's block-time flush must put it on the wire.
+        // a segment that is nowhere near full, so it never fills by size.
+        // The logger's seal deadline must put it on the wire, and the
+        // causal read must be served long before its wait bound.
         let (shipper, receiver) = LogShipper::unbounded();
         let logger = Arc::new(StreamingLogger::new(1_000, shipper));
         let store = Arc::new(MvStore::default());
@@ -754,21 +729,21 @@ mod tests {
         );
         assert!(token > SeqNo::ZERO);
 
-        let flush_logger = Arc::clone(&logger);
-        let router = Arc::new(
-            ReadRouter::new(
-                vec![Arc::clone(&replica) as _],
-                ReadConfig::default().with_max_wait(Duration::from_secs(30)),
-            )
-            .with_tail_flush(move || flush_logger.flush()),
-        );
+        let router = Arc::new(ReadRouter::new(
+            vec![Arc::clone(&replica) as _],
+            ReadConfig::default().with_max_wait(Duration::from_secs(30)),
+        ));
         let read = router
             .session()
             .read(&ConsistencyClass::Causal(token), row(1))
-            .expect("the flush hook ships the buffered token");
+            .expect("the seal deadline ships the buffered token");
         assert!(read.as_of >= token);
         assert_eq!(read.value.unwrap().as_u64(), Some(7));
-        assert!(read.blocked > Duration::ZERO, "the fast path had to block");
+        assert!(
+            read.blocked < Duration::from_secs(10),
+            "served by the deadline, not the wait bound (blocked {:?})",
+            read.blocked
+        );
 
         logger.close();
         driver.join().unwrap();

@@ -493,14 +493,10 @@ proptest! {
             PrimaryConfig::default().with_threads(1),
             logger,
         ));
-        let flush_engine = Arc::clone(&engine);
-        let router = Arc::new(
-            ReadRouter::new(
-                Vec::new(),
-                ReadConfig::default().with_max_wait(Duration::from_secs(30)),
-            )
-            .with_tail_flush(move || flush_engine.flush_log()),
-        );
+        let router = Arc::new(ReadRouter::new(
+            Vec::new(),
+            ReadConfig::default().with_max_wait(Duration::from_secs(30)),
+        ));
         let controller = FleetController::new(
             shipper,
             Arc::clone(&archive),
